@@ -44,6 +44,7 @@
 #include "compress/scheme_parser.h"
 #include "core/automc.h"
 #include "core/run_spec.h"
+#include "core/stage_cache.h"
 #include "data/cifar.h"
 #include "nn/serialize.h"
 #include "nn/summary.h"
@@ -595,10 +596,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Lets --export-model reuse the search's pretrained base model.
+  core::StageCache stage_cache;
   core::RunHooks hooks;
   hooks.store = experience_store.get();
   hooks.checkpointer = checkpointer.get();
   hooks.stop = &g_stop;
+  hooks.stage_cache = &stage_cache;
   auto result = core::RunSearch(spec, task, hooks);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kCancelled) {
@@ -663,7 +667,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::vector<int>& scheme = outcome.pareto_schemes[*win];
-    auto model = core::MaterializeScheme(spec, scheme);
+    auto model = core::MaterializeScheme(spec, scheme, &stage_cache);
     if (!model.ok()) {
       std::fprintf(stderr, "export failed: %s\n",
                    model.status().ToString().c_str());

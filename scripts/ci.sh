@@ -268,19 +268,21 @@ echo "== COW sanitizer stage =="
 # the absence of data races with a ThreadSanitizer build of the COW
 # invariant suite plus the batched evaluator (whose speculation phase
 # shares model snapshots across the pool) and the shared experience tier
-# (readers mmap while a publisher appends + renames), and the artifact
+# (readers mmap while a publisher appends + renames), the artifact
 # registry (concurrent publishers fill packs under flock while lock-free
-# readers fetch through the mmap'd index), then shake out addressability
-# bugs in the buffer-sharing paths with an ASan+UBSan pass. Both run at
+# readers fetch through the mmap'd index), and the stage cache (job
+# threads share one; concurrent get-or-compute), then shake out
+# addressability bugs in the buffer-sharing paths with an ASan+UBSan
+# pass. Both run at
 # AUTOMC_THREADS=1 and 4 like the main suite.
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
-  experience_index_test artifact_test
+  experience_index_test artifact_test stage_cache_test server_test
 for threads in 1 4; do
   echo "-- tsan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-tsan \
-    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test' \
+    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test|stage_cache_test|server_test' \
     --output-on-failure
 done
 

@@ -10,7 +10,7 @@ namespace trace {
 
 // One timed span. Spans nest: a ScopedTimer constructed while another is
 // alive on the same thread becomes its child, so a search run yields a tree
-// like  evaluator.eval_ms -> compress.NS.ms -> trainer.epoch_ms.
+// like  evaluator.commit_ms -> compress.NS.ms -> trainer.epoch_ms.
 struct Span {
   std::string name;
   double ms = 0.0;

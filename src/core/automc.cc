@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "core/stage_cache.h"
 #include "nn/trainer.h"
 #include "search/rl.h"
 
@@ -82,8 +83,10 @@ Result<AutoMCResult> AutoMC::Run(const CompressionTask& task) {
   AUTOMC_LOG(Info) << "AutoMC search space: " << space.size() << " strategies";
 
   // 1. Pretrain the base model on the full training split.
-  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> base,
-                          PretrainModel(task));
+  StageCache* cache = options_.stage_cache;
+  AUTOMC_ASSIGN_OR_RETURN(
+      std::unique_ptr<nn::Model> base,
+      cache != nullptr ? cache->PretrainModel(task) : PretrainModel(task));
   result.base_model = std::shared_ptr<nn::Model>(std::move(base));
   result.base_accuracy =
       nn::Trainer::Evaluate(result.base_model.get(), task.data.test);
@@ -102,8 +105,10 @@ Result<AutoMCResult> AutoMC::Run(const CompressionTask& task) {
     if (options_.use_exp) {
       kg::ExperienceGenConfig xcfg = options_.experience;
       xcfg.seed = options_.seed + 3;
-      AUTOMC_ASSIGN_OR_RETURN(experience,
-                              kg::GenerateExperience(space.strategies(), xcfg));
+      AUTOMC_ASSIGN_OR_RETURN(
+          experience, cache != nullptr
+                          ? cache->GenerateExperience(space, xcfg)
+                          : kg::GenerateExperience(space.strategies(), xcfg));
       AUTOMC_LOG(Info) << "generated " << experience.size()
                        << " experience records";
     }
@@ -147,12 +152,12 @@ Result<AutoMCResult> AutoMC::Run(const CompressionTask& task) {
                          << " experience steps from the store";
       }
     }
-    kg::StrategyEmbeddingLearner learner(space.strategies(), ecfg);
-    AUTOMC_RETURN_IF_ERROR(learner.Learn(experience));
-    embeddings.reserve(space.size());
-    for (size_t i = 0; i < space.size(); ++i) {
-      embeddings.push_back(learner.Embedding(i));
-    }
+    AUTOMC_ASSIGN_OR_RETURN(
+        embeddings,
+        cache != nullptr
+            ? cache->LearnEmbeddings(space, ecfg, experience)
+            : kg::LearnStrategyEmbeddings(space.strategies(), ecfg,
+                                          experience));
   }
 
   // 3. Search on a subsample of the training data (10% in the paper).

@@ -18,6 +18,8 @@
 namespace automc {
 namespace core {
 
+class StageCache;
+
 // One automatic-model-compression problem instance (Definition 1): a model
 // family/size, a dataset, and the training regime that defines "epochs".
 struct CompressionTask {
@@ -79,6 +81,9 @@ struct AutoMCOptions {
   // pending checkpoint (loaded by the caller) is resumed transparently.
   store::ExperienceStore* experience_store = nullptr;
   store::SearchCheckpointer* checkpointer = nullptr;
+  // Non-owning memo of the task-pure stages (pretraining, experience,
+  // embeddings; core/stage_cache.h). Null computes every stage.
+  StageCache* stage_cache = nullptr;
 };
 
 struct AutoMCResult {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "core/stage_cache.h"
 #include "data/dataset.h"
 #include "nn/trainer.h"
 #include "search/evolutionary.h"
@@ -134,13 +135,16 @@ Result<AutoMCResult> RunSearch(const RunSpec& spec,
     opts.seed = spec.seed;
     opts.experience_store = hooks.store;
     opts.checkpointer = hooks.checkpointer;
+    opts.stage_cache = hooks.stage_cache;
     AutoMC automc(opts);
     return automc.Run(task);
   }
 
   AutoMCResult result;
   AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> pretrained,
-                          PretrainModel(task));
+                          hooks.stage_cache != nullptr
+                              ? hooks.stage_cache->PretrainModel(task)
+                              : PretrainModel(task));
   result.base_model = std::shared_ptr<nn::Model>(std::move(pretrained));
   result.base_accuracy =
       nn::Trainer::Evaluate(result.base_model.get(), task.data.test);
@@ -241,11 +245,12 @@ Result<size_t> PickWinningScheme(const search::SearchOutcome& outcome) {
 }
 
 Result<std::unique_ptr<nn::Model>> MaterializeScheme(
-    const RunSpec& spec, const std::vector<int>& scheme) {
+    const RunSpec& spec, const std::vector<int>& scheme, StageCache* cache) {
   AUTOMC_RETURN_IF_ERROR(ValidateRunSpec(spec));
   CompressionTask task = MakeTask(spec);
-  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> model,
-                          PretrainModel(task));
+  AUTOMC_ASSIGN_OR_RETURN(
+      std::unique_ptr<nn::Model> model,
+      cache != nullptr ? cache->PretrainModel(task) : PretrainModel(task));
   search::SearchSpace space = search::SearchSpace::FullTable1();
   for (int s : scheme) {
     if (s < 0 || static_cast<size_t>(s) >= space.size()) {

@@ -57,12 +57,15 @@ bool DecodeRunSpec(ByteReader* r, RunSpec* spec);
 CompressionTask MakeTask(const RunSpec& spec);
 
 // Non-owning run-scoped hooks: persistence (store/checkpointer, see
-// docs/persistence.md) and cooperative cancellation. A pending checkpoint
-// must already be loaded by the caller; RunSearch resumes it transparently.
+// docs/persistence.md), cooperative cancellation, and the stage cache that
+// lets repeated runs skip task-pure stages (core/stage_cache.h). A pending
+// checkpoint must already be loaded by the caller; RunSearch resumes it
+// transparently.
 struct RunHooks {
   store::ExperienceStore* store = nullptr;
   store::SearchCheckpointer* checkpointer = nullptr;
   search::StopToken* stop = nullptr;
+  StageCache* stage_cache = nullptr;
 };
 
 // Runs the spec end to end — pretrain the base model, then search with the
@@ -94,9 +97,11 @@ Result<size_t> PickWinningScheme(const search::SearchOutcome& outcome);
 // the evaluator's per-node seed derivation. An inapplicable strategy
 // (kFailedPrecondition) is the same no-op it was during search. This is the
 // determinism contract extended to bytes: serialize(MaterializeScheme(...))
-// equals the bytes the server publishes for that job.
+// equals the bytes the server publishes for that job. With a stage cache,
+// the pretrain the search already ran is reused instead of repeated.
 Result<std::unique_ptr<nn::Model>> MaterializeScheme(
-    const RunSpec& spec, const std::vector<int>& scheme);
+    const RunSpec& spec, const std::vector<int>& scheme,
+    StageCache* cache = nullptr);
 
 }  // namespace core
 }  // namespace automc

@@ -107,5 +107,19 @@ const Tensor& StrategyEmbeddingLearner::Embedding(
   return embeddings_[strategy_index];
 }
 
+Result<std::vector<Tensor>> LearnStrategyEmbeddings(
+    const std::vector<compress::StrategySpec>& strategies,
+    const EmbeddingLearnerConfig& config,
+    const std::vector<ExperienceRecord>& experience) {
+  StrategyEmbeddingLearner learner(strategies, config);
+  AUTOMC_RETURN_IF_ERROR(learner.Learn(experience));
+  std::vector<Tensor> embeddings;
+  embeddings.reserve(strategies.size());
+  for (size_t i = 0; i < strategies.size(); ++i) {
+    embeddings.push_back(learner.Embedding(i));
+  }
+  return embeddings;
+}
+
 }  // namespace kg
 }  // namespace automc

@@ -54,6 +54,14 @@ class StrategyEmbeddingLearner {
   double last_exp_loss_ = 0.0;
 };
 
+// Algorithm 1 as one pure stage: learns over `experience` and returns the
+// final embedding of every strategy, in table order. AutoMC::Run and the
+// stage cache (core/stage_cache.h) both compute embeddings through this.
+Result<std::vector<tensor::Tensor>> LearnStrategyEmbeddings(
+    const std::vector<compress::StrategySpec>& strategies,
+    const EmbeddingLearnerConfig& config,
+    const std::vector<ExperienceRecord>& experience);
+
 }  // namespace kg
 }  // namespace automc
 

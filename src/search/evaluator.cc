@@ -173,7 +173,11 @@ Result<EvalPoint> SchemeEvaluator::Evaluate(const std::vector<int>& scheme,
 
 Result<EvalPoint> SchemeEvaluator::EvaluateInternal(
     const std::vector<int>& scheme, EvalPoint* parent_out, SpecMap* spec) {
-  AUTOMC_SCOPED_TIMER("evaluator.eval_ms");
+  // Times the serial commit of one scheme. Under batched evaluation the
+  // compression already ran speculatively (eval.batch_ms covers it), so
+  // this is lookup + measurement bookkeeping unless a node was not
+  // speculated and runs here.
+  AUTOMC_SCOPED_TIMER("evaluator.commit_ms");
   AUTOMC_METRIC_COUNT("evaluator.evaluations");
   for (int idx : scheme) {
     if (idx < 0 || static_cast<size_t>(idx) >= space_->size()) {

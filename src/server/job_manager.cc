@@ -394,6 +394,7 @@ void JobManager::RunJob(Job* job) {
 
   core::RunHooks hooks;
   hooks.stop = &job->stop;
+  hooks.stage_cache = &stage_cache_;
 
   store::SearchCheckpointer::Options ckpt_opts;
   ckpt_opts.dir = dir;
@@ -461,14 +462,15 @@ void JobManager::RunJob(Job* job) {
   // "job-<id>". Best effort like the experience publish: a failure costs
   // the artifact, never the job. The bytes come from MaterializeScheme, so
   // they are bit-identical to the model the evaluator measured (and to a
-  // direct `automc_cli --export-model` of the same spec + scheme).
+  // direct `automc_cli --export-model` of the same spec + scheme); its
+  // pretrain is the stage-cache hit the search just left behind.
   if (result.ok() && registry_ != nullptr) {
     do {
       Result<size_t> win = core::PickWinningScheme(result->outcome);
       if (!win.ok()) break;  // empty front: nothing to deploy
       const std::vector<int>& scheme = result->outcome.pareto_schemes[*win];
       Result<std::unique_ptr<nn::Model>> model =
-          core::MaterializeScheme(job->spec, scheme);
+          core::MaterializeScheme(job->spec, scheme, &stage_cache_);
       if (!model.ok()) {
         AUTOMC_LOG(Warning) << "job " << job->id << ": cannot materialize "
                             << "winning scheme: "

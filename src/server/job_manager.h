@@ -14,6 +14,7 @@
 #include "artifact/manifest.h"
 #include "common/result.h"
 #include "core/run_spec.h"
+#include "core/stage_cache.h"
 #include "server/protocol.h"
 
 namespace automc {
@@ -89,8 +90,15 @@ class FairQueue {
 // Concurrency: up to Options::max_concurrent dedicated job threads
 // (default: $AUTOMC_SERVER_JOBS, else 1) pop the bounded FIFO. Each job
 // builds its own evaluator/store/checkpointer, so jobs share only the
-// global thread pool and the metrics registry — nothing that affects
-// results — and concurrent outcomes stay bit-identical to solo runs.
+// global thread pool, the metrics registry and the stage cache — none of
+// which affects results — and concurrent outcomes stay bit-identical to
+// solo runs.
+//
+// The manager owns one core::StageCache for its lifetime and hands it to
+// every job's RunSearch and winner MaterializeScheme: a cold job pretrains
+// once (not once for the search and again for the publish), and a repeat
+// of a spec skips pretraining, experience generation and the Algorithm-1
+// embeddings entirely.
 //
 // Cancellation is cooperative: Cancel() flips the job's StopToken, which
 // the searchers poll between rounds (search::CheckStop). Shutdown(drain:
@@ -180,6 +188,11 @@ class JobManager {
   // be created — fetches then see "no artifact", jobs still run).
   artifact::Registry* registry() { return registry_.get(); }
 
+  // Hit/miss counts of the stages this manager's jobs reused.
+  core::StageCache::Stats stage_cache_stats() const {
+    return stage_cache_.stats();
+  }
+
  private:
   struct Job {
     uint64_t id = 0;
@@ -208,6 +221,7 @@ class JobManager {
   Options options_;
   int max_concurrent_ = 1;
   std::unique_ptr<artifact::Registry> registry_;
+  core::StageCache stage_cache_;
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;       // queue + shutdown wakeups

@@ -31,15 +31,21 @@ Status PollFor(int fd, short events) {
   }
 }
 
-// write(2) until done; EINTR- and EAGAIN-safe. A peer that disappears
-// mid-write surfaces as Internal (EPIPE is suppressed to a status, not a
-// signal — callers must have SIGPIPE ignored or use MSG_NOSIGNAL-
-// equivalent; automc_serve and the CLI both ignore SIGPIPE at startup).
+// send(2) until done; EINTR- and EAGAIN-safe. MSG_NOSIGNAL turns a peer
+// that disappears mid-write into EPIPE -> Internal instead of a SIGPIPE
+// that would kill any process not ignoring it (test binaries hosting a
+// server included). Non-socket fds (pipes, files) fall back to write(2).
 Status WriteAll(int fd, const void* data, size_t n) {
   const char* p = static_cast<const char*>(data);
+  bool is_socket = true;
   while (n > 0) {
-    ssize_t written = ::write(fd, p, n);
+    ssize_t written = is_socket ? ::send(fd, p, n, MSG_NOSIGNAL)
+                                : ::write(fd, p, n);
     if (written < 0) {
+      if (errno == ENOTSOCK && is_socket) {
+        is_socket = false;
+        continue;
+      }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         AUTOMC_RETURN_IF_ERROR(PollFor(fd, POLLOUT));

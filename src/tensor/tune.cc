@@ -1,11 +1,13 @@
 #include "tensor/tune.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <shared_mutex>
@@ -14,6 +16,7 @@
 
 #include "common/aligned.h"
 #include "common/bytes.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 
 namespace automc {
@@ -87,6 +90,9 @@ std::string CachePath() {
 void LoadCacheFileLocked(TunerState& st) {
   std::string path = CachePath();
   if (path.empty()) return;
+  // Reading a directory through a filebuf throws rather than failing.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return;
   std::ifstream in(path, std::ios::binary);
   if (!in) return;
   std::string blob((std::istreambuf_iterator<char>(in)),
@@ -138,13 +144,21 @@ void SaveCacheFileLocked(const TunerState& st) {
   uint32_t crc = Crc32(w.str());
   w.U32(crc);
   std::string tmp = path + ".tmp";
+  bool written = false;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return;
     out.write(w.str().data(), static_cast<std::streamsize>(w.str().size()));
-    if (!out) return;
+    written = static_cast<bool>(out.flush());
   }
-  std::rename(tmp.c_str(), path.c_str());
+  // The cache is an optimisation: a failed publish costs later processes a
+  // re-probe, never a result, so it is logged and the tmp file removed.
+  if (!written || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    AUTOMC_LOG(Warning) << "tune cache: cannot publish " << path << ": "
+                        << (written ? std::strerror(err) : "short write");
+  }
 }
 
 using ProbeBuffer = std::vector<float, AlignedAllocator<float, 64>>;

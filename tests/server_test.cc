@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -118,6 +120,21 @@ TEST(ProtocolTest, TruncatedFrameIsInvalidNotEof) {
   auto truncated = server::ReadFrame(fds[1]);
   EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
   ::close(fds[1]);
+}
+
+// A peer that went away is a typed error, not a SIGPIPE: the writer must
+// not rely on its process ignoring the signal (test binaries hosting a
+// server do not).
+TEST(ProtocolTest, WriteToClosedPeerIsInternalNotSigpipe) {
+  auto previous = std::signal(SIGPIPE, SIG_DFL);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  Status st = server::WriteFrame(fds[0], server::MsgType::kGetMetrics,
+                                 std::string(1 << 16, 'x'));
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  ::close(fds[0]);
+  std::signal(SIGPIPE, previous);
 }
 
 TEST(ProtocolTest, FrameDecoderReassemblesSplitFramesAndPoisonsOnGarbage) {
@@ -416,6 +433,72 @@ TEST(ServerTest, FetchedModelMatchesDirectMaterialization) {
   ASSERT_TRUE(nn::SerializeModel(reloaded->get(), &again).ok());
   EXPECT_EQ(again.str(), want.str());
   (*srv)->Stop();
+}
+
+// The manager's stage cache: a cold automc job pretrains once (the publish
+// reuses the search's base model), and a repeat of its spec reuses all
+// four stage lookups — search pretrain, experience, embeddings, publish
+// pretrain. Both jobs' outcomes and published models equal an uncached
+// in-process RunSearch + MaterializeScheme.
+TEST(ServerTest, RepeatJobReusesCachedStagesBitIdentically) {
+  ScopedTempDir dir("server_stage_cache");
+  server::JobManager::Options jo;
+  jo.workdir = dir.File("wd");
+  jo.artifact_dir = dir.File("artifacts");
+  jo.max_concurrent = 1;
+  auto jobs = server::JobManager::Open(jo);
+  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
+  server::JobManager& jm = **jobs;
+
+  core::RunSpec spec = TinySpec(/*seed=*/41, /*budget=*/2);
+  spec.searcher = "automc";
+  auto total = [](const core::StageCache::Stats& s) {
+    return std::make_pair(
+        s.pretrain.hits + s.experience.hits + s.embeddings.hits,
+        s.pretrain.misses + s.experience.misses + s.embeddings.misses);
+  };
+
+  std::vector<uint64_t> ids;
+  std::vector<core::StageCache::Stats> after;
+  for (int i = 0; i < 2; ++i) {
+    auto id = jm.Submit(spec);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(jm.WaitIdle(/*timeout_seconds=*/300.0));
+    auto info = jm.Info(*id);
+    ASSERT_TRUE(info.ok());
+    ASSERT_EQ(info->state, JobState::kDone) << info->error;
+    ids.push_back(*id);
+    after.push_back(jm.stage_cache_stats());
+  }
+  // Cold: pretrain, experience, embeddings miss; the publish hits.
+  EXPECT_EQ(total(after[0]), std::make_pair(uint64_t{1}, uint64_t{3}));
+  EXPECT_EQ(after[0].pretrain.hits, 1u);
+  // Warm: four hits, no misses.
+  const auto [hits, misses] = total(after[1]);
+  EXPECT_EQ(hits - total(after[0]).first, 4u);
+  EXPECT_EQ(misses - total(after[0]).second, 0u);
+
+  auto direct = core::RunSearch(spec);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  const std::string want_outcome = search::SaveOutcomeBytes(direct->outcome);
+  auto winner = core::PickWinningScheme(direct->outcome);
+  ASSERT_TRUE(winner.ok()) << winner.status().ToString();
+  auto model =
+      core::MaterializeScheme(spec, direct->outcome.pareto_schemes[*winner]);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  std::ostringstream want_model;
+  ASSERT_TRUE(nn::SerializeModel(model->get(), &want_model).ok());
+
+  ASSERT_NE(jm.registry(), nullptr);
+  for (uint64_t id : ids) {
+    auto outcome = jm.OutcomeBytes(id);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(*outcome, want_outcome) << "job " << id;
+    auto blob = jm.registry()->FetchBlob("job-" + std::to_string(id));
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    EXPECT_EQ(*blob, want_model.str()) << "job " << id;
+  }
+  jm.Shutdown(/*drain=*/true);
 }
 
 TEST(ServerTest, TwoConcurrentJobsStayBitIdentical) {

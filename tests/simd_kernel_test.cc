@@ -3,6 +3,8 @@
 // the AVX2 path, the scalar fallback, every tile/pack parameter choice, and
 // every AUTOMC_SIMD setting produce bit-identical results — so every
 // comparison here is EXPECT_EQ on float bits, never EXPECT_NEAR.
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -218,6 +220,42 @@ TEST_F(TuneCacheTest, CorruptAndTruncatedFilesAreIgnoredAndRewritten) {
   probes0 = CounterValue("simd.tune_probes");
   simd::ChooseTile(GemmOp::kTransposeB, 24, 36, 48);
   EXPECT_EQ(CounterValue("simd.tune_probes"), probes0);
+}
+
+// A publish that cannot land costs later processes a re-probe and nothing
+// else: no <cache>.tmp is left behind and the in-memory table keeps serving
+// the tile it chose.
+TEST_F(TuneCacheTest, FailedPublishLeavesNoTmpFile) {
+  namespace fs = std::filesystem;
+  // The cache path names a directory: rename(2) fails for any user.
+  const fs::path blocked = dir_->path() / "blocked";
+  fs::create_directory(blocked);
+  ::setenv("AUTOMC_TUNE_CACHE", blocked.c_str(), 1);
+  simd::ResetTunerForTest();
+  TileParams first = simd::ChooseTile(GemmOp::kNormal, 20, 28, 36);
+  EXPECT_TRUE(fs::is_directory(blocked));
+  EXPECT_FALSE(fs::exists(blocked.string() + ".tmp"));
+  const int64_t probes = CounterValue("simd.tune_probes");
+  TileParams again = simd::ChooseTile(GemmOp::kNormal, 20, 28, 36);
+  EXPECT_EQ(CounterValue("simd.tune_probes"), probes);
+  EXPECT_EQ(again.mr, first.mr);
+  EXPECT_EQ(again.nv, first.nv);
+  EXPECT_EQ(again.kc, first.kc);
+
+  // The cache path's directory is read-only. Without write permission on
+  // it nothing can be created; a privileged user may still publish.
+  const fs::path ro = dir_->path() / "ro";
+  fs::create_directory(ro);
+  fs::permissions(ro, fs::perms::owner_read | fs::perms::owner_exec);
+  const std::string ro_cache = (ro / "tune.bin").string();
+  ::setenv("AUTOMC_TUNE_CACHE", ro_cache.c_str(), 1);
+  simd::ResetTunerForTest();
+  simd::ChooseTile(GemmOp::kTransposeA, 20, 28, 36);
+  EXPECT_FALSE(fs::exists(ro_cache + ".tmp"));
+  if (::geteuid() != 0) {
+    EXPECT_FALSE(fs::exists(ro_cache));
+  }
+  fs::permissions(ro, fs::perms::owner_all);
 }
 
 // Full training run (conv + linear forward/backward, every GEMM op) under
