@@ -272,8 +272,8 @@ echo "== COW sanitizer stage =="
 # registry (concurrent publishers fill packs under flock while lock-free
 # readers fetch through the mmap'd index), and the stage cache (job
 # threads share one; concurrent get-or-compute), then shake out
-# addressability bugs in the buffer-sharing paths with an ASan+UBSan
-# pass. Both run at
+# addressability bugs in the buffer-sharing paths, Conv2d's chunk panel
+# slicing and TransR's reused scratch with an ASan+UBSan pass. Both run at
 # AUTOMC_THREADS=1 and 4 like the main suite.
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -288,11 +288,13 @@ done
 
 cmake -B build-asan -S . -DAUTOMC_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-asan -j --target tensor_test cow_tensor_test nn_model_test
+cmake --build build-asan -j --target tensor_test cow_tensor_test nn_model_test \
+  nn_layers_test kg_test
 for threads in 1 4; do
   echo "-- asan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-asan \
-    -R 'tensor_test|cow_tensor_test|nn_model_test' --output-on-failure
+    -R 'tensor_test|cow_tensor_test|nn_model_test|nn_layers_test|kg_test' \
+    --output-on-failure
 done
 
 if [[ -n "${AUTOMC_SANITIZE:-}" ]]; then

@@ -60,8 +60,15 @@ class TransR {
   const TransRConfig& config() const { return config_; }
 
  private:
-  // Applies one SGD step for a (positive, negative) pair.
-  void UpdatePair(const Triplet& pos, const Triplet& neg);
+  // Scores pos and neg (which shares pos's relation and one side),
+  // leaving pos's residual in the scratch for UpdatePair.
+  // Returns the hinge argument margin + d_pos - d_neg.
+  double ScorePair(const Triplet& pos, const Triplet& neg);
+  // Applies one SGD step for a (positive, negative) pair whose hinge
+  // argument ScorePair just returned.
+  void UpdatePair(const Triplet& pos, const Triplet& neg, double loss);
+  // One triplet's gradient step from its residual u = W e_h + e_r - W e_t.
+  void ApplyStep(const Triplet& t, const float* u, float sign);
   void RenormalizeEntity(int64_t id);
 
   TransRConfig config_;
@@ -70,6 +77,11 @@ class TransR {
   tensor::Tensor entities_;   // [E, d]
   tensor::Tensor relations_;  // [R, k]
   tensor::Tensor proj_;       // [R, k, d] flattened as [R, k*d]
+
+  // Training scratch, reused across pairs: projections of pos/neg heads and
+  // tails and the residual of the triplet being stepped [k each], W^T u and
+  // e_h - e_t [d each].
+  std::vector<float> ph_, pt_, nh_, nt_, u_, wtu_, diff_;
 };
 
 }  // namespace kg

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/thread_pool.h"
 
@@ -26,6 +27,39 @@ int64_t ChannelGrain(int64_t channels, int64_t work_per_channel) {
   if (per_chunk < 1) per_chunk = 1;
   if (per_chunk > channels && channels > 0) per_chunk = channels;
   return per_chunk;
+}
+
+// Columns a conv im2col panel is filled to. A chunk packs enough samples
+// side by side that each GEMM sees at least this many columns, so small
+// feature maps (a 2x2 map is 4 columns per sample) reach the vector GEMM
+// path and pay dispatch and B-packing once per chunk instead of once per
+// sample.
+constexpr int64_t kConvPanelCols = 64;
+
+// Samples per conv chunk: a pure function of the per-sample output width
+// p, never of the thread count.
+int64_t PanelSamples(int64_t p) {
+  return std::max<int64_t>(1, (kConvPanelCols + p - 1) / p);
+}
+
+// Per-thread conv staging, grown on demand and reused across calls and
+// layers (like the GEMM's B-packing scratch). A chunk body only touches its
+// own thread's buffers; nested loops inside it run inline, so no other conv
+// chunk can reuse them while it is in flight.
+struct ConvScratch {
+  std::vector<float> panel;  // im2col panel [ckk, S*p] / one sample's cols
+  std::vector<float> out;    // forward output or gathered dY [out_c, S*p]
+  std::vector<float> dcols;  // dX panel [ckk, S*p]
+};
+
+ConvScratch& ThreadConvScratch() {
+  thread_local ConvScratch scratch;
+  return scratch;
+}
+
+float* Reserve(std::vector<float>* buf, int64_t n) {
+  if (buf->size() < static_cast<size_t>(n)) buf->resize(static_cast<size_t>(n));
+  return buf->data();
 }
 
 }  // namespace
@@ -65,31 +99,41 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
   Tensor wmat = weight_.value.Reshaped({out_c_, ckk});
   Tensor y({n, out_c_, oh, ow});
 
+  // Backward redoes the im2col from this O(1) alias of the input.
   cached_ = training;
-  if (training) {
-    cols_.assign(static_cast<size_t>(n), Tensor());
-    x_shape_ = x.shape();
-  }
-  // Intra-batch data parallelism: one im2col + GEMM per sample, each
-  // writing a disjoint slice of y (and of the cols_ cache). With a single
-  // sample the loop collapses and the GEMM parallelizes internally instead.
+  x_cache_ = training ? x : Tensor();
+
+  // Intra-batch data parallelism over chunks of PanelSamples(p) samples:
+  // each chunk im2cols its samples side by side into one [ckk, S*p] panel
+  // and runs one GEMM into a bias-prefilled [out_c, S*p] staging block,
+  // then scatters the block into its disjoint slice of y. Each output
+  // element keeps the per-sample fma chain (bias, then ascending ckk), so
+  // the bits match a GEMM per sample. A one-sample chunk writes y directly.
   const float* xd = x.data();
   const float* wd = wmat.data();
   const float* bd = has_bias_ ? bias_.value.data() : nullptr;
   float* yd = y.MutableData();
   int64_t out_c = out_c_, in_c = in_c_;
-  automc::ParallelFor(n, 1, [&, xd, wd, bd, yd](int64_t s0, int64_t s1) {
-    Tensor cols({ckk, p});  // per-chunk scratch, reused across its samples
+  automc::ParallelFor(n, PanelSamples(p), [=](int64_t s0, int64_t s1) {
+    const int64_t ld = (s1 - s0) * p;
+    ConvScratch& scratch = ThreadConvScratch();
+    float* panel = Reserve(&scratch.panel, ckk * ld);
     for (int64_t i = s0; i < s1; ++i) {
-      tensor::Im2Col(xd + i * in_c * h * w, g, &cols);
-      float* dst = yd + i * out_c * p;
-      if (bd != nullptr) {
-        for (int64_t f = 0; f < out_c; ++f) {
-          std::fill(dst + f * p, dst + (f + 1) * p, bd[f]);
-        }
+      tensor::Im2Col(xd + i * in_c * h * w, g, panel, (i - s0) * p, ld);
+    }
+    float* out = s1 - s0 == 1 ? yd + s0 * out_c * p
+                              : Reserve(&scratch.out, out_c * ld);
+    for (int64_t f = 0; f < out_c; ++f) {
+      std::fill(out + f * ld, out + (f + 1) * ld,
+                bd != nullptr ? bd[f] : 0.0f);
+    }
+    tensor::GemmAccumRaw(wd, panel, out, out_c, ckk, ld);
+    if (s1 - s0 == 1) return;
+    for (int64_t i = s0; i < s1; ++i) {
+      for (int64_t f = 0; f < out_c; ++f) {
+        const float* src = out + f * ld + (i - s0) * p;
+        std::copy(src, src + p, yd + (i * out_c + f) * p);
       }
-      tensor::GemmAccumRaw(wd, cols.data(), dst, out_c, ckk, p);
-      if (cached_) cols_[static_cast<size_t>(i)] = cols;
     }
   });
   flops_last_ = n * out_c_ * ckk * p;
@@ -98,7 +142,7 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
   AUTOMC_CHECK(cached_) << "Conv2d::Backward without training Forward";
-  int64_t n = x_shape_[0], h = x_shape_[2], w = x_shape_[3];
+  int64_t n = x_cache_.size(0), h = x_cache_.size(2), w = x_cache_.size(3);
   ConvGeometry g{in_c_, h, w, kernel_, stride_, pad_};
   int64_t oh = g.OutH(), ow = g.OutW();
   AUTOMC_CHECK_EQ(grad_out.size(0), n);
@@ -106,56 +150,92 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
 
   int64_t ckk = in_c_ * kernel_ * kernel_;
   int64_t p = oh * ow;
+  int64_t dw_numel = out_c_ * ckk;
   Tensor wmat = weight_.value.Reshaped({out_c_, ckk});
-  Tensor dx(x_shape_);
+  Tensor dx(x_cache_.shape());
 
-  // Per-sample parallel backward. dx slices are disjoint; the shared dW and
-  // db gradients go through per-sample partials that are reduced in sample
-  // order below, so the reduction order is independent of the thread count.
-  int64_t chunks = automc::ThreadPool::NumChunks(n, 1);
-  std::vector<Tensor> dw_part(static_cast<size_t>(chunks));
-  std::vector<Tensor> db_part(static_cast<size_t>(chunks));
+  // Chunked parallel backward, same chunks as Forward. dX runs one GEMM
+  // per chunk over the gathered [out_c, S*p] dY block into a [ckk, S*p]
+  // dcols panel, which is folded back sample by sample into disjoint dx
+  // slices; every dcols element keeps its ascending-out_c fma chain.
+  //
+  // dW and db are per-sample partials, each its own chain from zero,
+  // summed in ascending sample order below. One k = S*p GEMM for dW would
+  // chain across the chunk's samples and round differently. The partials
+  // live for this call only (each slot is zeroed by its chunk), so their
+  // n*out_c*ckk floats go back to the allocator for the layers that run
+  // next.
+  auto dw_storage = std::make_unique_for_overwrite<float[]>(n * dw_numel);
+  auto db_storage =
+      std::make_unique_for_overwrite<float[]>(has_bias_ ? n * out_c_ : 0);
+  float* dw_part = dw_storage.get();
+  float* db_part = db_storage.get();
+  const float* xd = x_cache_.data();
   const float* gd = grad_out.data();
   const float* wd = wmat.data();
   float* dxd = dx.MutableData();
   int64_t out_c = out_c_, in_c = in_c_;
   bool has_bias = has_bias_;
-  automc::ParallelFor(n, 1, [&, gd, wd, dxd](int64_t s0, int64_t s1,
-                                             int64_t chunk) {
-    Tensor dwp({out_c, ckk});
-    Tensor dbp({has_bias ? out_c : 0});
-    Tensor dcols({ckk, p});
+  automc::ParallelFor(n, PanelSamples(p), [=](int64_t s0, int64_t s1) {
+    const int64_t ld = (s1 - s0) * p;
+    ConvScratch& scratch = ThreadConvScratch();
+    const float* dy = gd + s0 * out_c * p;  // contiguous for one sample
+    if (s1 - s0 > 1) {
+      float* staged = Reserve(&scratch.out, out_c * ld);
+      for (int64_t i = s0; i < s1; ++i) {
+        for (int64_t f = 0; f < out_c; ++f) {
+          const float* src = gd + (i * out_c + f) * p;
+          std::copy(src, src + p, staged + f * ld + (i - s0) * p);
+        }
+      }
+      dy = staged;
+    }
+    // dcols = W^T * dY
+    float* dcols = Reserve(&scratch.dcols, ckk * ld);
+    std::fill(dcols, dcols + ckk * ld, 0.0f);
+    tensor::GemmTransposeARaw(wd, dy, dcols, ckk, out_c, ld);
+    for (int64_t i = s0; i < s1; ++i) {
+      tensor::Col2Im(dcols, (i - s0) * p, ld, g, dxd + i * in_c * h * w);
+    }
+    float* cols = Reserve(&scratch.panel, ckk * p);
     for (int64_t i = s0; i < s1; ++i) {
       const float* dyi = gd + i * out_c * p;  // [out_c, p] slice
-      const Tensor& cols = cols_[static_cast<size_t>(i)];
-      // dW += dY * cols^T
-      tensor::GemmTransposeBRaw(dyi, cols.data(), dwp.MutableData(), out_c,
-                                p, ckk);
-      // dcols = W^T * dY
-      dcols.Fill(0.0f);
-      tensor::GemmTransposeARaw(wd, dyi, dcols.MutableData(), ckk, out_c, p);
-      tensor::Col2Im(dcols, g, dxd + i * in_c * h * w);
+      // dW_i = dY_i * cols_i^T
+      tensor::Im2Col(xd + i * in_c * h * w, g, cols, 0, p);
+      float* dwp = dw_part + i * out_c * ckk;
+      std::fill(dwp, dwp + out_c * ckk, 0.0f);
+      tensor::GemmTransposeBRaw(dyi, cols, dwp, out_c, p, ckk);
       if (has_bias) {
+        float* dbp = db_part + i * out_c;
         for (int64_t f = 0; f < out_c; ++f) {
           double s = 0.0;
           for (int64_t q = 0; q < p; ++q) s += dyi[f * p + q];
-          dbp[f] += static_cast<float>(s);
+          dbp[f] = static_cast<float>(s);
         }
       }
     }
-    dw_part[static_cast<size_t>(chunk)] = std::move(dwp);
-    db_part[static_cast<size_t>(chunk)] = std::move(dbp);
   });
-  // Ordered reduction (ascending sample index), bit-identical for any
-  // thread count.
-  Tensor dwmat({out_c_, ckk});
-  for (const Tensor& part : dw_part) dwmat.AddInPlace(part);
-  weight_.grad.AddInPlace(dwmat.Reshaped(weight_.value.shape()));
+  // Ordered reduction (ascending sample index) into a zeroed sum that is
+  // then added to the gradient, bit-identical for any thread count:
+  // element-wise, so its ranges may run in parallel.
+  std::vector<float> fold_storage(static_cast<size_t>(dw_numel), 0.0f);
+  float* fold = fold_storage.data();
+  float* gw = weight_.grad.MutableData();
+  automc::ParallelFor(dw_numel, kElemwiseGrain, [=](int64_t e0, int64_t e1) {
+    for (int64_t i = 0; i < n; ++i) {
+      const float* part = dw_part + i * dw_numel;
+      for (int64_t e = e0; e < e1; ++e) fold[e] += part[e];
+    }
+    for (int64_t e = e0; e < e1; ++e) gw[e] += fold[e];
+  });
   if (has_bias_) {
-    for (const Tensor& part : db_part) bias_.grad.AddInPlace(part);
+    float* gb = bias_.grad.MutableData();
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t f = 0; f < out_c_; ++f) gb[f] += db_part[i * out_c_ + f];
+    }
   }
   cached_ = false;
-  cols_.clear();
+  x_cache_ = Tensor();
   return dx;
 }
 
@@ -198,7 +278,7 @@ void Conv2d::KeepOutputFilters(const std::vector<int64_t>& keep) {
   out_c_ = static_cast<int64_t>(keep.size());
   weight_ = Param(std::move(nw));
   cached_ = false;
-  cols_.clear();
+  x_cache_ = Tensor();
 }
 
 void Conv2d::KeepInputChannels(const std::vector<int64_t>& keep) {
@@ -219,7 +299,7 @@ void Conv2d::KeepInputChannels(const std::vector<int64_t>& keep) {
   in_c_ = static_cast<int64_t>(keep.size());
   weight_ = Param(std::move(nw));
   cached_ = false;
-  cols_.clear();
+  x_cache_ = Tensor();
 }
 
 // ---------------------------------------------------------------------------

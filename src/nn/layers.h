@@ -52,9 +52,10 @@ class Conv2d : public Layer {
   Param weight_;
   Param bias_;
 
-  // Forward caches.
-  std::vector<tensor::Tensor> cols_;  // per-sample im2col matrices
-  std::vector<int64_t> x_shape_;
+  // Forward cache: an O(1) copy-on-write alias of the training input.
+  // Backward redoes each sample's im2col from it rather than keeping the
+  // k*k-times larger column matrices alive between the passes.
+  tensor::Tensor x_cache_;
   int64_t flops_last_ = 0;
   bool cached_ = false;
 };

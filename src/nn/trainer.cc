@@ -72,8 +72,8 @@ Status Trainer::Fit(Model* model, const data::Dataset& train, LossFn loss_fn,
 
         model->ZeroGrad();
         // Intra-batch data parallelism lives inside the layer kernels
-        // (per-sample conv im2col+GEMM, per-channel batch norm, per-row
-        // GEMM), not here: splitting the batch across model replicas would
+        // (conv im2col+GEMM over chunks of samples, per-channel batch norm,
+        // per-row GEMM), not here: splitting the batch across model replicas would
         // change batch-norm statistics and gradient reduction order. The
         // kernels chunk work independently of AUTOMC_THREADS and reduce
         // shared gradients in a fixed order, so the loss curve is

@@ -137,21 +137,16 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols) {
+void Im2Col(const float* x, const ConvGeometry& g, float* cols, int64_t col0,
+            int64_t ld) {
   int64_t oh = g.OutH(), ow = g.OutW();
-  AUTOMC_CHECK_EQ(cols->dim(), 2);
-  AUTOMC_CHECK_EQ(cols->size(0), g.in_c * g.kernel * g.kernel);
-  AUTOMC_CHECK_EQ(cols->size(1), oh * ow);
-  // Every element (zero padding included) is written below, so a shared
-  // cols buffer is replaced, never copied.
-  float* out = cols->MutableDataDiscard();
-  int64_t col_w = oh * ow;
+  AUTOMC_CHECK(col0 >= 0 && col0 + oh * ow <= ld);
   for (int64_t c = 0; c < g.in_c; ++c) {
     const float* xc = x + c * g.in_h * g.in_w;
     for (int64_t ki = 0; ki < g.kernel; ++ki) {
       for (int64_t kj = 0; kj < g.kernel; ++kj) {
         float* row =
-            out + ((c * g.kernel + ki) * g.kernel + kj) * col_w;
+            cols + ((c * g.kernel + ki) * g.kernel + kj) * ld + col0;
         int64_t idx = 0;
         for (int64_t i = 0; i < oh; ++i) {
           int64_t src_i = i * g.stride + ki - g.pad;
@@ -168,19 +163,26 @@ void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols) {
   }
 }
 
-void Col2Im(const Tensor& cols, const ConvGeometry& g, float* dx) {
+void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols) {
+  int64_t p = g.OutH() * g.OutW();
+  AUTOMC_CHECK_EQ(cols->dim(), 2);
+  AUTOMC_CHECK_EQ(cols->size(0), g.in_c * g.kernel * g.kernel);
+  AUTOMC_CHECK_EQ(cols->size(1), p);
+  // Every element (zero padding included) is written, so a shared cols
+  // buffer is replaced, never copied.
+  Im2Col(x, g, cols->MutableDataDiscard(), 0, p);
+}
+
+void Col2Im(const float* cols, int64_t col0, int64_t ld, const ConvGeometry& g,
+            float* dx) {
   int64_t oh = g.OutH(), ow = g.OutW();
-  AUTOMC_CHECK_EQ(cols.dim(), 2);
-  AUTOMC_CHECK_EQ(cols.size(0), g.in_c * g.kernel * g.kernel);
-  AUTOMC_CHECK_EQ(cols.size(1), oh * ow);
-  const float* in = cols.data();
-  int64_t col_w = oh * ow;
+  AUTOMC_CHECK(col0 >= 0 && col0 + oh * ow <= ld);
   for (int64_t c = 0; c < g.in_c; ++c) {
     float* xc = dx + c * g.in_h * g.in_w;
     for (int64_t ki = 0; ki < g.kernel; ++ki) {
       for (int64_t kj = 0; kj < g.kernel; ++kj) {
         const float* row =
-            in + ((c * g.kernel + ki) * g.kernel + kj) * col_w;
+            cols + ((c * g.kernel + ki) * g.kernel + kj) * ld + col0;
         int64_t idx = 0;
         for (int64_t i = 0; i < oh; ++i) {
           int64_t src_i = i * g.stride + ki - g.pad;
@@ -195,6 +197,14 @@ void Col2Im(const Tensor& cols, const ConvGeometry& g, float* dx) {
       }
     }
   }
+}
+
+void Col2Im(const Tensor& cols, const ConvGeometry& g, float* dx) {
+  int64_t p = g.OutH() * g.OutW();
+  AUTOMC_CHECK_EQ(cols.dim(), 2);
+  AUTOMC_CHECK_EQ(cols.size(0), g.in_c * g.kernel * g.kernel);
+  AUTOMC_CHECK_EQ(cols.size(1), p);
+  Col2Im(cols.data(), 0, p, g, dx);
 }
 
 Tensor LogSoftmax(const Tensor& logits) {

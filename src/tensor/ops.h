@@ -47,11 +47,20 @@ struct ConvGeometry {
   int64_t OutW() const { return (in_w + 2 * pad - kernel) / stride + 1; }
 };
 
-// Unfolds one image x[c,h,w] (given as a pointer into an NCHW batch) into a
-// column matrix of shape [C*k*k, OH*OW]; zero padding outside the image.
+// Unfolds one image x[c,h,w] (given as a pointer into an NCHW batch) into
+// columns [col0, col0 + OH*OW) of a row-major [C*k*k, ld] column matrix;
+// zero padding outside the image. Conv2d packs several samples side by side
+// into one panel this way (ld = samples * OH*OW, col0 = slot * OH*OW).
+void Im2Col(const float* x, const ConvGeometry& g, float* cols, int64_t col0,
+            int64_t ld);
+// Whole-tensor form: cols is exactly [C*k*k, OH*OW].
 void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols);
-// Adjoint of Im2Col: folds the column matrix back, accumulating into dx
-// (dx must be pre-zeroed by the caller for a pure adjoint).
+// Adjoint of Im2Col: folds columns [col0, col0 + OH*OW) of the [C*k*k, ld]
+// matrix back, accumulating into dx (dx must be pre-zeroed by the caller
+// for a pure adjoint).
+void Col2Im(const float* cols, int64_t col0, int64_t ld, const ConvGeometry& g,
+            float* dx);
+// Whole-tensor form: cols is exactly [C*k*k, OH*OW].
 void Col2Im(const Tensor& cols, const ConvGeometry& g, float* dx);
 
 // Row-wise log-softmax of a [n, c] tensor.

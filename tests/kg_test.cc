@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -133,6 +136,217 @@ TEST(TransRTest, PositivesScoreBelowCorruptions) {
     if (transr.Score(t) < transr.Score(corrupted)) ++wins;
   }
   EXPECT_GT(static_cast<double>(wins) / total, 0.75);
+}
+
+// Test-only port of TransR training before its single-pass restructure:
+// each pair is scored twice (once for the epoch loss, once for the hinge
+// check), every SGD step re-projects its triplet with one row at a time,
+// and W's rank-1 update runs column by column. Constructor init copied
+// verbatim. TransR must reproduce it bit for bit.
+class ReferenceTransR {
+ public:
+  ReferenceTransR(int64_t num_entities, int64_t num_relations,
+                  TransRConfig config)
+      : config_(config) {
+    Rng rng(config.seed);
+    float escale = 1.0f / std::sqrt(static_cast<float>(config.entity_dim));
+    float rscale = 1.0f / std::sqrt(static_cast<float>(config.relation_dim));
+    entities_ =
+        tensor::Tensor::Randn({num_entities, config.entity_dim}, &rng, escale);
+    relations_ = tensor::Tensor::Randn({num_relations, config.relation_dim},
+                                       &rng, rscale);
+    proj_ = tensor::Tensor::Randn(
+        {num_relations, config.relation_dim * config.entity_dim}, &rng,
+        escale);
+    for (int64_t r = 0; r < num_relations; ++r) {
+      for (int64_t i = 0; i < std::min(config.relation_dim, config.entity_dim);
+           ++i) {
+        proj_[r * config.relation_dim * config.entity_dim +
+              i * config.entity_dim + i] += 1.0f;
+      }
+    }
+  }
+
+  double TrainEpoch(const std::vector<Triplet>& triplets, int64_t num_entities,
+                    Rng* rng) {
+    std::vector<size_t> order(triplets.size());
+    std::iota(order.begin(), order.end(), 0);
+    rng->Shuffle(&order);
+    double total = 0.0;
+    for (size_t idx : order) {
+      const Triplet& pos = triplets[idx];
+      Triplet neg = pos;
+      if (rng->Bernoulli(0.5)) {
+        neg.head = rng->UniformInt(num_entities);
+      } else {
+        neg.tail = rng->UniformInt(num_entities);
+      }
+      if (neg.head == neg.tail) ++aliased_negatives_;
+      double loss = std::max(0.0, config_.margin + Score(pos) - Score(neg));
+      total += loss;
+      UpdatePair(pos, neg);
+    }
+    return total / static_cast<double>(triplets.size());
+  }
+
+  double Score(const Triplet& t) const {
+    int64_t d = config_.entity_dim, k = config_.relation_dim;
+    const float* w = proj_.data() + t.relation * k * d;
+    const float* eh = entities_.data() + t.head * d;
+    const float* et = entities_.data() + t.tail * d;
+    const float* er = relations_.data() + t.relation * k;
+    std::vector<float> ph(static_cast<size_t>(k)), pt(static_cast<size_t>(k));
+    Project(w, eh, k, d, ph.data());
+    Project(w, et, k, d, pt.data());
+    double s = 0.0;
+    for (int64_t i = 0; i < k; ++i) {
+      double u = ph[static_cast<size_t>(i)] + er[i] - pt[static_cast<size_t>(i)];
+      s += u * u;
+    }
+    return s;
+  }
+
+  tensor::Tensor EntityEmbedding(int64_t id) const {
+    int64_t d = config_.entity_dim;
+    tensor::Tensor out({d});
+    const float* e = entities_.data() + id * d;
+    std::copy(e, e + d, out.MutableData());
+    return out;
+  }
+
+  int aliased_negatives() const { return aliased_negatives_; }
+
+ private:
+  static void Project(const float* w, const float* e, int64_t k, int64_t d,
+                      float* out) {
+    for (int64_t i = 0; i < k; ++i) {
+      double s = 0.0;
+      for (int64_t j = 0; j < d; ++j) {
+        s += static_cast<double>(w[i * d + j]) * e[j];
+      }
+      out[i] = static_cast<float>(s);
+    }
+  }
+
+  void RenormalizeEntity(int64_t id) {
+    int64_t d = config_.entity_dim;
+    float* e = entities_.MutableData() + id * d;
+    double n = 0.0;
+    for (int64_t i = 0; i < d; ++i) n += static_cast<double>(e[i]) * e[i];
+    n = std::sqrt(n);
+    if (n > 1.0) {
+      float inv = static_cast<float>(1.0 / n);
+      for (int64_t i = 0; i < d; ++i) e[i] *= inv;
+    }
+  }
+
+  void UpdatePair(const Triplet& pos, const Triplet& neg) {
+    double d_pos = Score(pos);
+    double d_neg = Score(neg);
+    double loss = config_.margin + d_pos - d_neg;
+    if (loss <= 0.0) return;
+    int64_t d = config_.entity_dim, k = config_.relation_dim;
+    float lr = config_.lr;
+    auto apply = [&](const Triplet& t, float sign) {
+      float* w = proj_.MutableData() + t.relation * k * d;
+      float* eh = entities_.MutableData() + t.head * d;
+      float* et = entities_.MutableData() + t.tail * d;
+      float* er = relations_.MutableData() + t.relation * k;
+      std::vector<float> u(static_cast<size_t>(k));
+      {
+        std::vector<float> ph(static_cast<size_t>(k)),
+            pt(static_cast<size_t>(k));
+        Project(w, eh, k, d, ph.data());
+        Project(w, et, k, d, pt.data());
+        for (int64_t i = 0; i < k; ++i) {
+          u[static_cast<size_t>(i)] =
+              ph[static_cast<size_t>(i)] + er[i] - pt[static_cast<size_t>(i)];
+        }
+      }
+      std::vector<float> wtu(static_cast<size_t>(d), 0.0f);
+      for (int64_t i = 0; i < k; ++i) {
+        float ui = u[static_cast<size_t>(i)];
+        for (int64_t j = 0; j < d; ++j) {
+          wtu[static_cast<size_t>(j)] += w[i * d + j] * ui;
+        }
+      }
+      float step = 2.0f * lr * sign;
+      for (int64_t j = 0; j < d; ++j) {
+        float diff = eh[j] - et[j];
+        eh[j] -= step * wtu[static_cast<size_t>(j)];
+        et[j] += step * wtu[static_cast<size_t>(j)];
+        for (int64_t i = 0; i < k; ++i) {
+          w[i * d + j] -= step * u[static_cast<size_t>(i)] * diff;
+        }
+      }
+      for (int64_t i = 0; i < k; ++i) er[i] -= step * u[static_cast<size_t>(i)];
+    };
+    apply(pos, +1.0f);
+    apply(neg, -1.0f);
+    RenormalizeEntity(pos.head);
+    RenormalizeEntity(pos.tail);
+    RenormalizeEntity(neg.head);
+    RenormalizeEntity(neg.tail);
+  }
+
+  TransRConfig config_;
+  tensor::Tensor entities_, relations_, proj_;
+  int aliased_negatives_ = 0;
+};
+
+template <typename T>
+bool SameBytes(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// Trains TransR and the reference side by side for `epochs` and requires
+// identical losses, entity embeddings and triplet scores, bytewise.
+// Returns the number of negatives whose head equals their tail.
+int ExpectMatchesReference(const std::vector<Triplet>& triplets,
+                           int64_t num_entities, TransRConfig cfg,
+                           int epochs) {
+  TransR transr(num_entities, kNumRelations, cfg);
+  ReferenceTransR ref(num_entities, kNumRelations, cfg);
+  Rng rng_a(17), rng_b(17);
+  for (int e = 0; e < epochs; ++e) {
+    double la = transr.TrainEpoch(triplets, num_entities, &rng_a);
+    double lb = ref.TrainEpoch(triplets, num_entities, &rng_b);
+    EXPECT_TRUE(SameBytes(la, lb)) << "epoch " << e << ": " << la << " vs " << lb;
+  }
+  int64_t d = cfg.entity_dim;
+  for (int64_t id = 0; id < num_entities; ++id) {
+    tensor::Tensor a = transr.EntityEmbedding(id);
+    tensor::Tensor b = ref.EntityEmbedding(id);
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                             static_cast<size_t>(d) * sizeof(float)))
+        << "entity " << id;
+  }
+  for (const Triplet& t : triplets) {
+    double a = transr.Score(t), b = ref.Score(t);
+    EXPECT_TRUE(SameBytes(a, b)) << "triplet (" << t.head << ", " << t.relation
+                                 << ", " << t.tail << "): " << a << " vs " << b;
+  }
+  return ref.aliased_negatives();
+}
+
+TEST(TransRTest, MatchesReferenceBytewiseOnFullTable1) {
+  KnowledgeGraph g =
+      KnowledgeGraph::Build(search::SearchSpace::FullTable1().strategies());
+  ExpectMatchesReference(g.triplets(), g.num_entities(), TransRConfig{},
+                         /*epochs=*/2);
+}
+
+// Negatives drawn from three entities often corrupt one side into the
+// other (head == tail), where the entity update aliases one row; relation
+// dims not a multiple of the projection's row block exercise its tail.
+TEST(TransRTest, MatchesReferenceWhenNegativeHeadEqualsTail) {
+  std::vector<Triplet> triplets = {{0, 0, 1}, {1, 1, 2}, {2, 0, 0}, {1, 2, 1}};
+  TransRConfig cfg;
+  cfg.entity_dim = 6;
+  cfg.relation_dim = 7;
+  int aliased = ExpectMatchesReference(triplets, /*num_entities=*/3, cfg,
+                                       /*epochs=*/5);
+  EXPECT_GT(aliased, 0);
 }
 
 TEST(TransRTest, EmbeddingRoundTrip) {

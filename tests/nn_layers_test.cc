@@ -1,10 +1,15 @@
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 
+#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "nn/layers.h"
 #include "nn/lowrank.h"
 #include "nn/residual.h"
 #include "nn/seqnet.h"
+#include "tensor/simd.h"
 #include "test_util.h"
 
 namespace automc {
@@ -66,6 +71,125 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{1, 4, 3, 1, 0, true},
                       ConvCase{2, 2, 5, 1, 2, true},
                       ConvCase{4, 1, 1, 2, 0, false}));
+
+// Per-sample reference of Conv2d's passes: one im2col + GEMM per sample
+// forward; per sample dW = dY * cols^T, dcols = W^T * dY and its col2im
+// backward; the dW/db partials folded in ascending sample order. Conv2d's
+// chunked panels must reproduce these bytes exactly.
+struct ConvPasses {
+  Tensor y, dx, dw, db;
+};
+
+ConvPasses PerSampleConv(Conv2d* conv, const Tensor& x, const Tensor& dy) {
+  int64_t n = x.size(0), in_c = conv->in_channels(), out_c = conv->out_channels();
+  tensor::ConvGeometry g{in_c, x.size(2), x.size(3), conv->kernel(),
+                         conv->stride(), conv->pad()};
+  int64_t ckk = in_c * conv->kernel() * conv->kernel();
+  int64_t p = g.OutH() * g.OutW();
+  int64_t image = in_c * g.in_h * g.in_w;
+  Tensor wmat = conv->weight().value.Reshaped({out_c, ckk});
+  const bool bias = conv->has_bias();
+
+  ConvPasses r;
+  r.y = Tensor({n, out_c, g.OutH(), g.OutW()});
+  r.dx = Tensor(x.shape());
+  r.dw = Tensor(conv->weight().value.shape());
+  r.db = Tensor({bias ? out_c : 0});
+  Tensor dw_sum({out_c, ckk});
+  for (int64_t i = 0; i < n; ++i) {
+    Tensor cols({ckk, p});
+    tensor::Im2Col(x.data() + i * image, g, &cols);
+    float* yi = r.y.MutableData() + i * out_c * p;
+    if (bias) {
+      for (int64_t f = 0; f < out_c; ++f) {
+        std::fill(yi + f * p, yi + (f + 1) * p, conv->bias().value[f]);
+      }
+    }
+    tensor::GemmAccumRaw(wmat.data(), cols.data(), yi, out_c, ckk, p);
+
+    const float* dyi = dy.data() + i * out_c * p;
+    Tensor dw_i({out_c, ckk});
+    tensor::GemmTransposeBRaw(dyi, cols.data(), dw_i.MutableData(), out_c, p,
+                              ckk);
+    dw_sum.AddInPlace(dw_i);
+    Tensor dcols({ckk, p});
+    tensor::GemmTransposeARaw(wmat.data(), dyi, dcols.MutableData(), ckk,
+                              out_c, p);
+    tensor::Col2Im(dcols, g, r.dx.MutableData() + i * image);
+    if (bias) {
+      Tensor db_i({out_c});
+      for (int64_t f = 0; f < out_c; ++f) {
+        double s = 0.0;
+        for (int64_t q = 0; q < p; ++q) s += dyi[f * p + q];
+        db_i[f] += static_cast<float>(s);
+      }
+      r.db.AddInPlace(db_i);
+    }
+  }
+  r.dw.AddInPlace(dw_sum.Reshaped(r.dw.shape()));
+  return r;
+}
+
+void ExpectSameBytes(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                           static_cast<size_t>(a.numel()) * sizeof(float)))
+      << what << " differs bytewise";
+}
+
+struct PanelCase {
+  const char* name;
+  int64_t n, in_c, out_c, hw, kernel, stride, pad;
+};
+
+// Panels hold ceil(64 / p) samples of p output positions each.
+const PanelCase kPanelCases[] = {
+    {"map2x2_p4", 20, 3, 5, 2, 3, 1, 1},        // 16-sample chunks, n % 16 != 0
+    {"p9_not_dividing", 10, 2, 3, 3, 3, 1, 1},  // 8 samples -> 72 columns
+    {"single_sample", 1, 3, 4, 5, 3, 1, 1},
+    {"stride2", 6, 2, 4, 7, 3, 2, 1},  // 4x4 map, 4-sample chunks
+    {"kernel1x1", 9, 4, 3, 4, 1, 1, 0},
+    {"p64_one_per_chunk", 3, 2, 3, 8, 3, 1, 1},
+};
+
+class ConvPanelIdentityTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ConvPanelIdentityTest, MatchesPerSampleReferenceBytewise) {
+  const bool bias = GetParam();
+  for (const PanelCase& c : kPanelCases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(7);
+    Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, bias, &rng);
+    if (bias) conv.bias().value = Tensor::Randn({c.out_c}, &rng);
+    Tensor x = Tensor::Randn({c.n, c.in_c, c.hw, c.hw}, &rng);
+    int64_t o = (c.hw + 2 * c.pad - c.kernel) / c.stride + 1;
+    Tensor dy = Tensor::Randn({c.n, c.out_c, o, o}, &rng);
+    ThreadPool::ResetGlobal(1);
+    const ConvPasses ref = PerSampleConv(&conv, x, dy);
+
+    for (int threads : {1, 4}) {
+      for (const char* simd_env : {"0", "1"}) {
+        SCOPED_TRACE(std::string("threads=") + std::to_string(threads) +
+                     " AUTOMC_SIMD=" + simd_env);
+        ThreadPool::ResetGlobal(threads);
+        ::setenv("AUTOMC_SIMD", simd_env, 1);
+        tensor::simd::RefreshDispatch();
+        for (Param* p : conv.Params()) p->ZeroGrad();
+        Tensor y = conv.Forward(x, /*training=*/true);
+        Tensor dx = conv.Backward(dy);
+        ExpectSameBytes(y, ref.y, "y");
+        ExpectSameBytes(dx, ref.dx, "dx");
+        ExpectSameBytes(conv.weight().grad, ref.dw, "dW");
+        if (bias) ExpectSameBytes(conv.bias().grad, ref.db, "db");
+      }
+    }
+  }
+  ::unsetenv("AUTOMC_SIMD");
+  tensor::simd::RefreshDispatch();
+  ThreadPool::ResetGlobal(1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bias, ConvPanelIdentityTest, ::testing::Bool());
 
 TEST(Conv2dTest, OutputShape) {
   Rng rng(1);
